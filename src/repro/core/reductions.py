@@ -43,7 +43,16 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from repro.errors import FederationError, RequirementError
 from repro.network.metrics import IDEAL, PathQuality, UNREACHABLE
@@ -291,13 +300,18 @@ def _parallel_branches(
 #: One DP entry: achievable quality plus the assignment realising it.
 Entry = Tuple[PathQuality, Dict[Sid, ServiceInstance]]
 
+_Payload = TypeVar("_Payload")
 
-def pareto_prune(entries: Iterable[Entry], *, keep_all: bool) -> List[Entry]:
+
+def pareto_prune(
+    entries: Iterable[Tuple[PathQuality, _Payload]], *, keep_all: bool
+) -> List[Tuple[PathQuality, _Payload]]:
     """Remove dominated entries.
 
     ``keep_all=True`` keeps the whole ``(bandwidth, latency)`` Pareto
     frontier; ``keep_all=False`` keeps only the lexicographically best entry
-    (the paper's pure shortest-widest heuristic).
+    (the paper's pure shortest-widest heuristic).  Of equal qualities the
+    first entry wins; the payload (normally an assignment) rides along.
     """
     candidates = [e for e in entries if e[0].reachable]
     if not candidates:
@@ -306,7 +320,7 @@ def pareto_prune(entries: Iterable[Entry], *, keep_all: bool) -> List[Entry]:
     candidates.sort(key=lambda e: (-e[0].bandwidth, e[0].latency))
     if not keep_all:
         return [candidates[0]]
-    frontier: List[Entry] = []
+    frontier: List[Tuple[PathQuality, _Payload]] = []
     best_latency = math.inf
     for quality, assignment in candidates:
         if quality.latency < best_latency:
@@ -367,6 +381,29 @@ class _AugmentedView:
         if src == self._virtual:
             return UNREACHABLE
         return self._base.quality(src, dst)
+
+
+class _PricedView:
+    """An :class:`AbstractView` that prices each ``(src, dst)`` pair once.
+
+    Lazy: the base view is asked on first demand only, so the set of pairs
+    priced and the order of their first lookups are exactly the base
+    view's.  It lives for one :meth:`ReductionSolver.solve_assignment`
+    call -- planning views change per activation and overlays mutate
+    between solves, so nothing may outlive the call.
+    """
+
+    def __init__(self, base: AbstractView) -> None:
+        self._base = base
+        self._prices: Dict[Tuple[ServiceInstance, ServiceInstance], PathQuality] = {}
+        self.instances_of = base.instances_of
+
+    def quality(self, src: ServiceInstance, dst: ServiceInstance) -> PathQuality:
+        key = (src, dst)
+        quality = self._prices.get(key)
+        if quality is None:
+            quality = self._prices[key] = self._base.quality(src, dst)
+        return quality
 
 
 class ReductionSolver:
@@ -442,6 +479,7 @@ class ReductionSolver:
                     "frontier entries a bound may require"
                 )
         work_req, work_view = self._two_terminal(requirement, view)
+        work_view = _PricedView(work_view)
         block = decompose(work_req)
         table = self._solve_block(block, work_view)
         sources = self._source_candidates(work_view, work_req.source, source_instance)
@@ -585,8 +623,25 @@ class ReductionSolver:
         return result
 
     def _solve_general(self, block: GeneralBlock, view: AbstractView) -> BlockTable:
+        """Bounded exhaustive enumeration of the block's assignments.
+
+        Every requirement edge gets a price matrix indexed by pool
+        position, filled on first demand, and each assignment is evaluated
+        inline: a running min for the bottleneck bandwidth and
+        ``finish[j] = max(finish[i] + latency)`` over predecessors for the
+        critical path.  The loop order (interior choices, then ``u``, then
+        ``v``), the exit on the first unreachable edge in topological
+        order, the assignment key order and the float operations are those
+        of :func:`_evaluate_assignment` applied per combination, so the
+        table -- keys, entries, tie order -- and the pairs priced, in
+        first-lookup order, are unchanged.  The edges ahead of ``v`` are
+        walked once per ``(interior, u)`` choice rather than once per
+        ``v`` instance, which skips only repeated lookups, and only the
+        frontier survivors are built into assignment dicts.
+        """
         req = block.requirement
-        interior = [s for s in req.topological_order() if s not in (block.u, block.v)]
+        order = req.topological_order()
+        interior = [s for s in order if s not in (block.u, block.v)]
         pools = [view.instances_of(s) for s in interior]
         combos = 1
         for pool in pools:
@@ -596,24 +651,92 @@ class ReductionSolver:
         if combos > self.enumeration_limit:
             return self._solve_general_greedy(block, view)
 
-        table: BlockTable = {}
         u_pool = view.instances_of(block.u)
         v_pool = view.instances_of(block.v)
-        for interior_choice in itertools.product(*pools):
-            partial = dict(zip(interior, interior_choice))
-            for src in u_pool:
-                for dst in v_pool:
-                    assignment = dict(partial)
-                    assignment[block.u] = src
-                    assignment[block.v] = dst
-                    quality = _evaluate_assignment(req, assignment, view)
-                    if quality is None:
+        if not u_pool or not v_pool:
+            return {}
+        # Slots: interior services in topological order, then u, then v.
+        slot_pools = [*pools, u_pool, v_pool]
+        slots = {sid: k for k, sid in enumerate([*interior, block.u, block.v])}
+        u_slot, v_slot = slots[block.u], slots[block.v]
+        # One step per service after the source: its slot and its in-edges,
+        # each with a (pred position) x (service position) price matrix.
+        steps = []
+        for sid in order[1:]:
+            j = slots[sid]
+            edges = []
+            for pred in req.predecessors(sid):
+                i = slots[pred]
+                matrix = [[None] * len(slot_pools[j]) for _ in slot_pools[i]]
+                edges.append((i, matrix, slot_pools[i], slot_pools[j]))
+            steps.append((j, edges))
+        split = order.index(block.v) - 1
+        head, tail = steps[:split], steps[split:]
+        sinks = [slots[s] for s in req.sinks]
+        position = [0] * len(slot_pools)
+        finish = [0.0] * len(slot_pools)
+
+        def walk(walked, bandwidth):
+            """Extend ``bandwidth``/``finish`` over ``walked``; ``None`` at
+            the first unreachable edge.  Prices are ``(bandwidth, latency)``
+            or ``()`` when unreachable; ``None`` marks a pair not yet priced."""
+            for j, edges in walked:
+                col = position[j]
+                worst = 0.0
+                for i, matrix, src_pool, dst_pool in edges:
+                    row = matrix[position[i]]
+                    hop = row[col]
+                    if hop is None:
+                        quality = view.quality(src_pool[position[i]], dst_pool[col])
+                        hop = row[col] = (
+                            (quality.bandwidth, quality.latency)
+                            if quality.reachable
+                            else ()
+                        )
+                    if not hop:
+                        return None
+                    hop_bandwidth, hop_latency = hop
+                    if hop_bandwidth < bandwidth:
+                        bandwidth = hop_bandwidth
+                    arrival = finish[i] + hop_latency
+                    if arrival > worst:
+                        worst = arrival
+                finish[j] = worst
+            return bandwidth
+
+        # Entries carry the interior choice; (u, v) positions key them.
+        found: Dict[Tuple[int, int], List[Tuple[PathQuality, Tuple[int, ...]]]] = {}
+        for choice in itertools.product(*(range(len(pool)) for pool in pools)):
+            position[:u_slot] = choice
+            for a in range(len(u_pool)):
+                position[u_slot] = a
+                ahead = walk(head, math.inf)
+                if ahead is None:
+                    continue
+                for b in range(len(v_pool)):
+                    position[v_slot] = b
+                    bandwidth = walk(tail, ahead)
+                    if bandwidth is None:
                         continue
-                    table.setdefault((src, dst), []).append((quality, assignment))
-        return {
-            key: pareto_prune(entries, keep_all=self.pareto)
-            for key, entries in table.items()
-        }
+                    quality = PathQuality(bandwidth, max([finish[s] for s in sinks]))
+                    entries = found.get((a, b))
+                    if entries is None:
+                        entries = found[(a, b)] = []
+                    entries.append((quality, choice))
+
+        table: BlockTable = {}
+        for (a, b), entries in found.items():
+            src, dst = u_pool[a], v_pool[b]
+            frontier: List[Entry] = []
+            for quality, choice in pareto_prune(entries, keep_all=self.pareto):
+                assignment = {
+                    sid: pool[k] for sid, pool, k in zip(interior, pools, choice)
+                }
+                assignment[block.u] = src
+                assignment[block.v] = dst
+                frontier.append((quality, assignment))
+            table[(src, dst)] = frontier
+        return table
 
     def _solve_general_greedy(
         self, block: GeneralBlock, view: AbstractView

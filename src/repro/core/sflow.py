@@ -1056,12 +1056,12 @@ class _Federation:
                 self._pending_acks.pop(msg.msg_id, None)
             if self.done.triggered or msg.generation < self.generation:
                 return  # run settled or superseded by a re-federation
+            attempts = (
+                self.config.retry_policy.max_attempts
+                if self.config.retry_policy is not None
+                else self.config.max_retries + 1
+            )
             if not quarantined:
-                attempts = (
-                    self.config.retry_policy.max_attempts
-                    if self.config.retry_policy is not None
-                    else self.config.max_retries + 1
-                )
                 self.suspected.add(target)
                 self._phi_suspects.discard(target)
                 _M_SUSPECTS.inc()
@@ -1083,7 +1083,7 @@ class _Federation:
             if not self.config.failover:
                 self._fail_run(
                     f"sfederate {msg.msg_id} from {src} to {target} lost "
-                    f"{self.config.max_retries + 1} times; failover disabled"
+                    f"{attempts} times; failover disabled"
                 )
                 return
             if self.requirement.in_degree(target.sid) > 1:

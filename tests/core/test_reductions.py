@@ -9,9 +9,12 @@ Two layers of validation:
   heuristic) variant is never better.
 """
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.optimal import optimal_flow_graph
 from repro.core.reductions import (
@@ -20,6 +23,7 @@ from repro.core.reductions import (
     PathBlock,
     ReductionSolver,
     SeriesBlock,
+    _evaluate_assignment,
     decompose,
     pareto_prune,
 )
@@ -349,3 +353,262 @@ class TestLatencyBound:
             return
         assert bounded.end_to_end_latency() <= bound + 1e-9
         assert bounded.bottleneck_bandwidth() == pytest.approx(best_bw)
+
+
+# ---------------------------------------------------------------------------
+# GENERAL-block enumeration: equivalence with the per-combination reference
+# ---------------------------------------------------------------------------
+
+
+def reference_solve_general(solver, block, view):
+    """The per-combination enumerator: one ``_evaluate_assignment`` call per
+    ``(interior, u, v)`` choice.  ``_solve_general`` must reproduce its
+    table bit for bit and price the same pairs in the same order."""
+    req = block.requirement
+    interior = [s for s in req.topological_order() if s not in (block.u, block.v)]
+    pools = [view.instances_of(s) for s in interior]
+    if any(not pool for pool in pools):
+        return {}
+    table = {}
+    for interior_choice in itertools.product(*pools):
+        partial = dict(zip(interior, interior_choice))
+        for src in view.instances_of(block.u):
+            for dst in view.instances_of(block.v):
+                assignment = dict(partial)
+                assignment[block.u] = src
+                assignment[block.v] = dst
+                quality = _evaluate_assignment(req, assignment, view)
+                if quality is None:
+                    continue
+                table.setdefault((src, dst), []).append((quality, assignment))
+    return {
+        key: pareto_prune(entries, keep_all=solver.pareto)
+        for key, entries in table.items()
+    }
+
+
+class ReferenceSolver(ReductionSolver):
+    """A :class:`ReductionSolver` running the reference enumerator."""
+
+    def _solve_general(self, block, view):
+        return reference_solve_general(self, block, view)
+
+
+class TableView:
+    """An abstract view over explicit instance pools and a price table."""
+
+    def __init__(self, pools, prices):
+        self.pools = pools
+        self.prices = prices
+
+    def instances_of(self, sid):
+        return self.pools.get(sid, ())
+
+    def quality(self, src, dst):
+        return self.prices.get((src, dst), UNREACHABLE)
+
+
+class CountingView:
+    """Records every ``quality`` call made through it, in order."""
+
+    def __init__(self, base):
+        self.base = base
+        self.calls = []
+
+    def instances_of(self, sid):
+        return self.base.instances_of(sid)
+
+    def quality(self, src, dst):
+        self.calls.append((src, dst))
+        return self.base.quality(src, dst)
+
+
+#: The constant price of an edge priced from gossip hints alone: many
+#: edges share it, so assignments tie and the tie order is observable.
+HINT_PRICE = PathQuality(4.0, 2.0)
+
+
+@st.composite
+def general_cases(draw):
+    """A two-terminal requirement DAG ``s0 -> ... -> s{n-1}``, instance
+    pools of 1-3, and prices mixing unreachable edges, the constant hint
+    price, and a small grid of real prices (which ties too)."""
+    n = draw(st.integers(min_value=3, max_value=6))
+    sids = [f"s{i}" for i in range(n)]
+    edges = set()
+    for j in range(1, n):
+        preds = draw(
+            st.sets(st.integers(0, j - 1), min_size=1, max_size=min(j, 3))
+        )
+        edges.update((i, j) for i in preds)
+    for i in range(n - 1):
+        if not any(a == i for a, _ in edges):
+            edges.add((i, n - 1))
+    req = ServiceRequirement(edges=[(sids[a], sids[b]) for a, b in sorted(edges)])
+    pools = {
+        sid: tuple(
+            ServiceInstance(sid, k)
+            for k in range(draw(st.integers(min_value=1, max_value=3)))
+        )
+        for sid in sids
+    }
+    prices = {}
+    for a, b in req.edges():
+        for x in pools[a]:
+            for y in pools[b]:
+                kind = draw(st.sampled_from(["unreachable", "hint", "priced"]))
+                if kind == "hint":
+                    prices[(x, y)] = HINT_PRICE
+                elif kind == "priced":
+                    prices[(x, y)] = PathQuality(
+                        float(draw(st.integers(1, 4))),
+                        draw(st.integers(0, 6)) * 0.5,
+                    )
+    pareto = draw(st.booleans())
+    return req, TableView(pools, prices), pareto
+
+
+def table_shape(table):
+    """Everything order-sensitive about a block table, as plain data."""
+    return [
+        (
+            key,
+            [
+                (quality.bandwidth, quality.latency, list(assignment.items()))
+                for quality, assignment in entries
+            ],
+        )
+        for key, entries in table.items()
+    ]
+
+
+class TestGeneralEnumeration:
+    @settings(max_examples=150, deadline=None)
+    @given(general_cases())
+    def test_matches_reference_enumerator(self, case):
+        req, view, pareto = case
+        solver = ReductionSolver(pareto=pareto)
+        block = GeneralBlock(req.source, req.sink, req)
+        got = solver._solve_general(block, view)
+        want = reference_solve_general(solver, block, view)
+        assert table_shape(got) == table_shape(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(general_cases())
+    def test_prices_each_pair_once_in_reference_order(self, case):
+        req, view, pareto = case
+        solver = ReductionSolver(pareto=pareto)
+        block = GeneralBlock(req.source, req.sink, req)
+        counted = CountingView(view)
+        solver._solve_general(block, counted)
+        reference = CountingView(view)
+        reference_solve_general(solver, block, reference)
+        assert max(Counter(counted.calls).values(), default=0) <= 1
+        # First-lookup order, hence the priced set, equals the reference's.
+        assert counted.calls == list(dict.fromkeys(reference.calls))
+
+    def test_unreachable_edges_and_ties_on_a_fixed_case(self):
+        # s -> {a, b}, a -> {x, y}, b -> y, {x, y} -> t: not series-parallel.
+        req = ServiceRequirement(
+            edges=[
+                ("s", "a"), ("s", "b"), ("a", "x"), ("a", "y"),
+                ("b", "y"), ("x", "t"), ("y", "t"),
+            ]
+        )
+        pools = {
+            sid: tuple(ServiceInstance(sid, k) for k in range(2))
+            for sid in req.services()
+        }
+        prices = {}
+        for a, b in req.edges():
+            for x in pools[a]:
+                for y in pools[b]:
+                    prices[(x, y)] = HINT_PRICE
+        prices[(ServiceInstance("a", 0), ServiceInstance("x", 1))] = UNREACHABLE
+        view = TableView(pools, prices)
+        block = decompose(req)
+        assert isinstance(block, GeneralBlock)
+        solver = ReductionSolver()
+        got = solver._solve_general(block, view)
+        assert table_shape(got) == table_shape(
+            reference_solve_general(solver, block, view)
+        )
+        # All prices tie, so every frontier keeps exactly the first
+        # enumerated assignment: interior instance 0 everywhere.
+        interior = [s for s in req.topological_order() if s not in ("s", "t")]
+        for entries in got.values():
+            (_, assignment), = entries
+            assert list(assignment) == [*interior, "s", "t"]
+            assert all(
+                assignment[sid].nid == 0 for sid in ("a", "b", "x", "y")
+            )
+
+
+class TestPricingWork:
+    """Work counts, not wall time: ``solve_assignment`` prices each
+    ``(src, dst)`` pair at most once, and exactly the pairs -- in the same
+    first-lookup order -- that the reference solver prices."""
+
+    @pytest.mark.parametrize(
+        "clazz", [RequirementClass.GENERAL, RequirementClass.TREE]
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_pair_priced_once_per_solve(self, clazz, seed):
+        from repro.services.abstract_graph import AbstractGraph
+
+        scenario = generate_scenario(
+            ScenarioConfig(
+                network_size=14,
+                n_services=6,
+                requirement_class=clazz,
+                seed=seed,
+            )
+        )
+        abstract = AbstractGraph.build(scenario.requirement, scenario.overlay)
+        counted = CountingView(abstract)
+        got = ReductionSolver().solve_assignment(
+            scenario.requirement, counted,
+            source_instance=scenario.source_instance,
+        )
+        reference = CountingView(abstract)
+        want = ReferenceSolver().solve_assignment(
+            scenario.requirement, reference,
+            source_instance=scenario.source_instance,
+        )
+        assert list(got[0].items()) == list(want[0].items())
+        assert got[1] == want[1]
+        assert max(Counter(counted.calls).values()) == 1
+        assert counted.calls == list(dict.fromkeys(reference.calls))
+
+    def test_chain_with_a_multi_instance_head_prices_each_pair_once(self):
+        # The layered DP restarts from every head instance, so without the
+        # per-solve memo each (b, c) pair would be priced once per a.
+        req = ServiceRequirement.from_path(["a", "b", "c"])
+        pools = {
+            sid: tuple(ServiceInstance(sid, k) for k in range(3))
+            for sid in req.services()
+        }
+        prices = {
+            (x, y): PathQuality(float(1 + x.nid + y.nid), 1.0)
+            for a, b in req.edges()
+            for x in pools[a]
+            for y in pools[b]
+        }
+        counted = CountingView(TableView(pools, prices))
+        ReductionSolver().solve_assignment(req, counted)
+        assert len(counted.calls) == len(prices)
+        assert set(counted.calls) == set(prices)
+
+    def test_prices_do_not_outlive_a_solve(self):
+        req = ServiceRequirement.from_path(["a", "b"])
+        a, b1, b2 = (
+            ServiceInstance("a", 0), ServiceInstance("b", 1), ServiceInstance("b", 2)
+        )
+        view = TableView(
+            {"a": (a,), "b": (b1, b2)},
+            {(a, b1): PathQuality(10.0, 1.0), (a, b2): PathQuality(5.0, 1.0)},
+        )
+        solver = ReductionSolver()
+        assert solver.solve_assignment(req, view)[0]["b"] == b1
+        view.prices[(a, b1)] = UNREACHABLE  # the overlay changed
+        assert solver.solve_assignment(req, view)[0]["b"] == b2

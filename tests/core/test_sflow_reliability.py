@@ -3,7 +3,8 @@ lossy transport."""
 
 import pytest
 
-from repro.core.sflow import SFlowAlgorithm, SFlowConfig
+from repro.core.detector import RetryPolicy
+from repro.core.sflow import FederationOutcome, SFlowAlgorithm, SFlowConfig
 from repro.errors import SFlowError
 from repro.services.workloads import (
     ScenarioConfig,
@@ -175,3 +176,22 @@ class TestLossyFederation:
                 scenario.overlay,
                 source_instance=scenario.source_instance,
             )
+
+    def test_failed_reason_counts_retry_policy_attempts(self, scenario):
+        # Failover off with a RetryPolicy: the FAILED reason must name the
+        # policy's budget (3), not the unused fixed schedule's
+        # max_retries + 1 (2).
+        config = SFlowConfig(
+            loss_rate=0.99,
+            loss_seed=0,
+            max_retries=1,
+            failover=False,
+            retry_policy=RetryPolicy(max_attempts=3, base=5.0, jitter=0.0),
+        )
+        result = SFlowAlgorithm(config).federate(
+            scenario.requirement,
+            scenario.overlay,
+            source_instance=scenario.source_instance,
+        )
+        assert result.outcome is FederationOutcome.FAILED
+        assert "lost 3 times; failover disabled" in result.failure_reason
