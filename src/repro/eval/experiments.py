@@ -88,6 +88,8 @@ class EvaluationConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.n_services < 2:
+            raise ValueError("need at least source and sink services")
         if not self.network_sizes:
             raise ValueError("need at least one network size")
         if self.workers < -1:
@@ -385,26 +387,6 @@ def _init_worker(handoff: Tuple[bool, bool, int, int]) -> None:
     oracle.max_entries = max_entries
 
 
-def map_cells(worker, payloads: List, workers: int) -> List:
-    """Deterministically map ``worker`` over cell payloads.
-
-    With a pool, ``Pool.map`` collects results in submission order -- the
-    same order the serial loop produces -- so the only difference between
-    the two paths is wall-clock time.  Each cell reseeds from its payload,
-    never from global state, which makes the fan-out bit-reproducible.
-    Pools fork (:func:`_pool_context`) and re-apply the parent oracle's
-    configuration in every worker (:func:`_init_worker`).
-    """
-    pool_size = resolve_workers(workers, len(payloads))
-    if pool_size == 0:
-        return [worker(payload) for payload in payloads]
-    ctx = _pool_context()
-    with ctx.Pool(
-        pool_size, initializer=_init_worker, initargs=(_oracle_handoff(),)
-    ) as pool:
-        return pool.map(worker, payloads, chunksize=1)
-
-
 class _MeteredCell:
     """Picklable wrapper: run a cell worker and ship its metric delta.
 
@@ -429,14 +411,16 @@ class _MeteredCell:
 def map_cells_with_metrics(
     worker, payloads: List, workers: int
 ) -> Tuple[List, Dict[str, dict]]:
-    """:func:`map_cells` plus per-cell metric merging.
+    """Deterministically map ``worker`` over cell payloads, merging metrics.
 
-    Returns ``(cell_results, merged_delta)`` where ``merged_delta`` is the
-    submission-order merge of every cell's registry delta.  When a pool
-    computed the cells, the merge is also folded into the parent process's
-    registry -- worker increments land in forked copies, and without this
-    fold the parent's counters would silently disagree with a serial run of
-    the same sweep.
+    With a pool, ``Pool.map`` collects results in submission order -- the
+    same order the serial loop produces -- so the fan-out is
+    bit-reproducible.  Returns ``(cell_results, merged_delta)`` where
+    ``merged_delta`` is the submission-order merge of every cell's
+    registry delta.  When a pool computed the cells, the merge is also
+    folded into the parent process's registry -- worker increments land
+    in forked copies, and without this fold the parent's counters would
+    silently disagree with a serial run of the same sweep.
     """
     pool_size = resolve_workers(workers, len(payloads))
     metered = _MeteredCell(worker)

@@ -86,6 +86,8 @@ class RobustnessConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.n_services < 2:
+            raise ValueError("need at least source and sink services")
         if not self.network_sizes:
             raise ValueError("need at least one network size")
         if not self.crash_rates:
@@ -417,6 +419,8 @@ class GrayFailureConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.n_services < 2:
+            raise ValueError("need at least source and sink services")
         if not self.network_sizes:
             raise ValueError("need at least one network size")
         if not self.intensities:

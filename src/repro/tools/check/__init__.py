@@ -1,14 +1,13 @@
 """``sflow-check``: whole-program static analysis for the sFlow repo.
 
-The package grew out of a single-module per-file linter; the public API
-of that module is preserved here verbatim (``check_source``,
-``check_file``, ``check_paths``, ``main``, ``RULES``, ``rule_codes``,
-``Violation``, ``Rule``, ``FileContext``) so existing imports, the
-console script and ``python -m repro.tools.check`` keep working.  New
-surface: the whole-program engine (:mod:`.engine`), symbol/call-graph
-layers (:mod:`.symbols`, :mod:`.callgraph`), taint dataflow
-(:mod:`.dataflow`), the incremental cache (:mod:`.cache`) and SARIF /
-baseline output (:mod:`.sarif`).
+Public API: ``check_source`` / ``check_file`` (per-file rules only),
+``check_paths`` (the whole-program run the CLI makes), ``main`` (the
+CLI), the rule catalogue (``RULES``, ``PROJECT_RULES``, ``rule_codes``)
+and the framework types (``Violation``, ``Rule``, ``ProjectRule``,
+``FileContext``).  One serial pass: each file is parsed and walked once
+(:mod:`.engine`), distilled into a symbol summary (:mod:`.symbols`),
+and the summaries are joined into a call graph (:mod:`.callgraph`) and
+taint dataflow (:mod:`.dataflow`) for the cross-module rules.
 """
 
 from __future__ import annotations
@@ -23,13 +22,10 @@ from repro.tools.check.base import (
     parse_suppressions,
 )
 from repro.tools.check.engine import (
-    CheckResult,
-    analyze_file_payload,
     check_file,
     check_paths,
     check_source,
     main,
-    run_project,
 )
 from repro.tools.check.rules import (
     PROJECT_RULES,
@@ -50,9 +46,7 @@ __all__ = [
     "Violation",
     "RULES",
     "PROJECT_RULES",
-    "CheckResult",
     "all_rule_codes",
-    "analyze_file_payload",
     "check_file",
     "check_paths",
     "check_source",
@@ -60,5 +54,4 @@ __all__ = [
     "module_for",
     "parse_suppressions",
     "rule_codes",
-    "run_project",
 ]

@@ -63,11 +63,14 @@ class FileContext:
         self.module = module
         self.source = source
         self.tree = tree
+        #: Every node of ``tree`` in ``ast.walk`` order.  Walked once here;
+        #: rules iterate this list instead of re-walking the tree.
+        self.nodes: List[ast.AST] = list(ast.walk(tree))
         #: ``alias -> dotted module`` for ``import x [as y]``.
         self.module_aliases: Dict[str, str] = {}
         #: ``local name -> dotted origin`` for ``from m import n [as y]``.
         self.imported_names: Dict[str, str] = {}
-        for node in ast.walk(tree):
+        for node in self.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     self.module_aliases[alias.asname or alias.name.split(".")[0]] = (

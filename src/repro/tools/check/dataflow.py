@@ -23,7 +23,7 @@ edges, each seeded from the per-function facts the symbol pass recorded:
 Every propagation is a breadth-first worklist over sorted seeds and
 sorted caller lists, with first-assignment-wins witnesses, so the blame
 chains -- and therefore the emitted findings -- are bit-identical run to
-run regardless of dict order or worker scheduling.
+run regardless of dict order.
 """
 
 from __future__ import annotations
@@ -85,9 +85,6 @@ class ProjectAnalysis:
     may_raise: Dict[str, Witness] = field(default_factory=dict)
     #: handler qname -> sorted spawn sites [(spawner qname, line, col)]
     handlers: Dict[str, List[Tuple[str, int, int]]] = field(default_factory=dict)
-
-    def is_suppressed(self, path_module: str, line: int, code: str) -> bool:
-        return code in self.index.suppressions_for(path_module).get(line, ())
 
 
 def _build_reverse_edges(

@@ -58,7 +58,7 @@ class SimTimePurity(Rule):
         return ctx.in_package("repro.sim", "repro.core")
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = ctx.qualified_call_name(node.func)
@@ -88,7 +88,7 @@ class InjectedRandomness(Rule):
         return ctx.in_package("repro.sim", "repro.core", "repro.eval")
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = ctx.qualified_call_name(node.func)
@@ -138,7 +138,7 @@ class AmbientNumpyRandomness(Rule):
         )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = ctx.qualified_call_name(node.func)

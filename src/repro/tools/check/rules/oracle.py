@@ -50,7 +50,7 @@ class OracleBypass(Rule):
         return ctx.in_package("repro") and not ctx.in_package("repro.routing")
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = ctx.qualified_call_name(node.func)
@@ -85,7 +85,7 @@ class EpochDiscipline(Rule):
         return ctx.in_package("repro") and ctx.module not in GRAPH_DEFINING_MODULES
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_function(ctx, node)
 

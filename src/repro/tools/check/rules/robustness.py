@@ -35,7 +35,7 @@ class SwallowedException(Rule):
         return ctx.in_package("repro")
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if not self._is_broad(node.type):
@@ -112,7 +112,7 @@ class UnboundedRetry(Rule):
         return ctx.in_package("repro.core", "repro.sim")
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.While):
                 continue
             test = node.test

@@ -45,7 +45,7 @@ class MetricsHygiene(Rule):
         return ctx.in_package("repro") and ctx.module != "repro.obs.metrics"
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -106,7 +106,7 @@ class SpanLifecycle(Rule):
         return ctx.in_package("repro") and ctx.module != "repro.obs.trace"
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_function(ctx, node)
 
@@ -237,7 +237,7 @@ class OrphanEvent(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         tracer_locals = self._tracer_locals(ctx)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -275,7 +275,7 @@ class OrphanEvent(Rule):
     def _tracer_locals(self, ctx: FileContext) -> Set[str]:
         """Names bound directly to ``tracer()`` anywhere in the file."""
         names: Set[str] = set()
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if (
                 isinstance(node, ast.Assign)
                 and isinstance(node.value, ast.Call)

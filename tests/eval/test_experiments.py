@@ -12,6 +12,7 @@ from repro.eval.experiments import (
     run_scalability,
     run_trial,
 )
+from repro.eval.robustness import GrayFailureConfig, RobustnessConfig
 from repro.services.requirement import RequirementClass
 from repro.services.workloads import ScenarioConfig, generate_scenario
 
@@ -31,6 +32,15 @@ class TestConfig:
     def test_empty_sizes_rejected(self):
         with pytest.raises(ValueError):
             EvaluationConfig(network_sizes=())
+
+    @pytest.mark.parametrize(
+        "config_cls", [EvaluationConfig, RobustnessConfig, GrayFailureConfig]
+    )
+    @pytest.mark.parametrize("n_services", [0, 1])
+    def test_fewer_than_two_services_rejected(self, config_cls, n_services):
+        # instance_range divides the network size by n_services.
+        with pytest.raises(ValueError, match="source and sink"):
+            config_cls(n_services=n_services)
 
     def test_instance_scaling(self):
         config = EvaluationConfig(n_services=5)

@@ -372,10 +372,9 @@ def test_check_paths_reports_syntax_errors(tmp_path):
     assert len(errors) == 1 and "syntax error" in errors[0]
 
 
-def test_repo_sources_are_clean():
+def test_repo_sources_are_clean(repo_lint):
     """The acceptance gate, as a test: src/ and tests/ lint clean."""
-    repo = Path(__file__).resolve().parents[2]
-    violations, errors = check_paths([repo / "src", repo / "tests"])
+    violations, errors = repo_lint
     assert errors == []
     assert violations == [], "\n".join(v.render() for v in violations)
 
