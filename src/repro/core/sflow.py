@@ -461,9 +461,9 @@ class _PlanningView(AbstractView):
 
     def quality(self, src: ServiceInstance, dst: ServiceInstance) -> PathQuality:
         if src in self._local and dst in self._local:
-            # Local views persist across planning steps (and failover
-            # re-planning) of one federation, so the process oracle turns
-            # the repeated per-node tree computations into cache hits.
+            # Local views are memoized on the overlay and shared by every
+            # activation and federation over it, so the process oracle
+            # turns the repeated per-node tree computations into hits.
             label = RouteOracle.default().tree(self._local, src).get(dst)
             if label is not None and label.quality.reachable:
                 return label.quality
@@ -921,14 +921,10 @@ class _Federation:
             node.reset()
         self.crashes += 1
         _M_CRASHES.inc()
-        # Scoped invalidation: cached planning trees that route *through*
-        # the dead instance are operationally stale -- bump the epoch of
-        # every materialised local view, dropping exactly those trees.
-        # (Restrictive mutation: surviving trees stay exact, so planning
-        # behaviour is bit-identical, only recomputation cost changes.)
-        oracle = RouteOracle.default()
-        for view in self._views.values():
-            oracle.mutate(view, removed_instances=(instance,))
+        # Planning learns of the crash only through suspicion (``excluded``).
+        # The local views stay untouched: they are shared by every
+        # federation over this overlay, and a cached planning tree must
+        # always equal a freshly computed one.
         self._log("crash", f"{instance} crashed (crash-stop)")
 
     def _revive(self, instance: ServiceInstance) -> None:
@@ -939,12 +935,6 @@ class _Federation:
             # Pre-crash inter-arrival history would insta-suspect the fresh
             # incarnation; let it bootstrap cleanly.
             self.detector.forget(instance)
-        # A revival is additive (paths through the instance become viable
-        # again), so the affected views cold-start their tree caches.
-        oracle = RouteOracle.default()
-        for view in self._views.values():
-            if instance in view:
-                oracle.mutate(view, additive=True)
         self._log("revival", f"{instance} revived with empty state")
 
     # -- transport (reliability layer) -------------------------------------------

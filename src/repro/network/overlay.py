@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -83,12 +84,16 @@ class OverlayGraph:
         self._out: Dict[ServiceInstance, Dict[ServiceInstance, ServiceLink]] = {}
         self._in: Dict[ServiceInstance, Dict[ServiceInstance, ServiceLink]] = {}
         self._by_sid: Dict[Sid, List[ServiceInstance]] = {}
+        #: Ego views built so far, keyed by reached set; any mutation of
+        #: this overlay clears it.
+        self._ego_views: Dict[FrozenSet[ServiceInstance], "OverlayGraph"] = {}
 
     # -- construction ------------------------------------------------------
 
     def add_instance(self, instance: ServiceInstance) -> ServiceInstance:
         """Register a service instance; idempotent."""
         if instance not in self._out:
+            self._ego_views.clear()
             self._out[instance] = {}
             self._in[instance] = {}
             self._by_sid.setdefault(instance.sid, []).append(instance)
@@ -108,6 +113,7 @@ class OverlayGraph:
         if dst in self._out[src]:
             raise ValueError(f"service link {src} -> {dst} already exists")
         link = ServiceLink(src, dst, metrics, tuple(underlay_path))
+        self._ego_views.clear()
         self._out[src][dst] = link
         self._in[dst][src] = link
         return link
@@ -277,8 +283,12 @@ class OverlayGraph:
                 direction when measuring distance -- matching "the portion of
                 the overall overlay graph within a two-hop vicinity".
 
-        Returns a new :class:`OverlayGraph` containing the reached instances
-        and *all* links of this overlay among them.
+        Returns an :class:`OverlayGraph` containing the reached instances
+        and *all* links of this overlay among them.  The view is memoized
+        per reached set: roots whose balls coincide get the *same* object
+        (and so share its routing-oracle lineage, CSR snapshot and cached
+        trees) until this overlay is next mutated.  Treat it as read-only;
+        it is never this overlay itself.
         """
         if root not in self._out:
             raise KeyError(f"unknown instance {root}")
@@ -301,7 +311,11 @@ class OverlayGraph:
                         reached.add(other)
                         nxt.append(other)
             frontier = nxt
-        return self.subgraph(reached)
+        key = frozenset(reached)
+        view = self._ego_views.get(key)
+        if view is None:
+            view = self._ego_views[key] = self.subgraph(key)
+        return view
 
     def subgraph(self, keep: Iterable[ServiceInstance]) -> "OverlayGraph":
         """Induced sub-overlay over ``keep`` (links with both ends kept)."""

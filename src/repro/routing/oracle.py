@@ -120,27 +120,35 @@ class _GraphMeta:
 
 
 class _Entry:
-    """One cached tree plus the elements its label paths traverse."""
+    """One cached tree plus the elements its label paths traverse.
 
-    __slots__ = ("labels", "nodes", "edges")
+    The traversed sets are only read by scoped invalidation, so they are
+    built on the first :meth:`touches` call rather than at insertion.
+    """
+
+    __slots__ = ("labels", "_traversed")
 
     def __init__(self, labels: Dict[Node, RouteLabel]) -> None:
         self.labels = labels
-        nodes: Set[Node] = set()
-        edges: Set[Tuple[Node, Node]] = set()
-        for label in labels.values():
-            path = label.path
-            nodes.update(path)
-            edges.update(zip(path, path[1:]))
-        self.nodes: FrozenSet[Node] = frozenset(nodes)
-        self.edges: FrozenSet[Tuple[Node, Node]] = frozenset(edges)
+        self._traversed: Optional[
+            Tuple[FrozenSet[Node], FrozenSet[Tuple[Node, Node]]]
+        ] = None
 
     def touches(
         self,
         touched_nodes: FrozenSet[Node],
         touched_edges: FrozenSet[Tuple[Node, Node]],
     ) -> bool:
-        return bool(self.nodes & touched_nodes) or bool(self.edges & touched_edges)
+        if self._traversed is None:
+            nodes: Set[Node] = set()
+            edges: Set[Tuple[Node, Node]] = set()
+            for label in self.labels.values():
+                path = label.path
+                nodes.update(path)
+                edges.update(zip(path, path[1:]))
+            self._traversed = (frozenset(nodes), frozenset(edges))
+        nodes_on_paths, edges_on_paths = self._traversed
+        return bool(nodes_on_paths & touched_nodes) or bool(edges_on_paths & touched_edges)
 
 
 class _PendingRepair:

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from repro.eval.robustness import GrayFailureConfig, GrayFailureExperiment
+from repro.network.failures import fail_instances
 from repro.network.metrics import UNREACHABLE, PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance, ServiceLink
 from repro.network.underlay import Underlay
@@ -203,6 +205,90 @@ class TestEgoView:
         overlay, insts = line_overlay
         with pytest.raises(ValueError):
             overlay.ego_view(insts[0], 1, direction="sideways")
+
+    def test_same_reached_set_shares_one_view(self, line_overlay):
+        overlay, (a, b, c, d) = line_overlay
+        view = overlay.ego_view(b, 1)  # {a, b, c}
+        assert overlay.ego_view(b, 1) is view
+        assert overlay.ego_view(a, 2) is view
+        assert overlay.ego_view(c, 2, direction="in") is view
+
+    def test_different_reached_set_gets_another_view(self, line_overlay):
+        overlay, (a, b, c, d) = line_overlay
+        view = overlay.ego_view(b, 1)  # {a, b, c}
+        wider = overlay.ego_view(b, 2)  # {a, b, c, d}
+        downstream = overlay.ego_view(b, 1, direction="out")  # {b, c}
+        assert wider is not view and downstream is not view
+        assert set(wider.instances()) == {a, b, c, d}
+        assert set(downstream.instances()) == {b, c}
+
+    def test_whole_overlay_ball_is_not_the_overlay(self, line_overlay):
+        overlay, (a, *_) = line_overlay
+        assert overlay.ego_view(a, 10) is not overlay
+
+    def test_add_instance_clears_memo(self, line_overlay):
+        overlay, (a, b, c, d) = line_overlay
+        view = overlay.ego_view(b, 1)
+        overlay.add_instance(b)  # already present: nothing changes
+        assert overlay.ego_view(b, 1) is view
+        overlay.add_instance(ServiceInstance("e", 4))
+        rebuilt = overlay.ego_view(b, 1)
+        assert rebuilt is not view
+        assert set(rebuilt.instances()) == set(view.instances())
+
+    def test_add_link_clears_memo(self, line_overlay):
+        overlay, (a, b, c, d) = line_overlay
+        view = overlay.ego_view(b, 1)
+        overlay.add_link(a, c, PathQuality(7, 2))
+        rebuilt = overlay.ego_view(b, 1)
+        assert rebuilt is not view
+        assert view.link(a, c) is None
+        assert rebuilt.link(a, c) is not None
+
+    def test_subgraph_and_fail_instances_stay_fresh(self, line_overlay):
+        overlay, (a, b, c, d) = line_overlay
+        view = overlay.ego_view(b, 1)
+        first = overlay.subgraph([a, b, c])
+        second = overlay.subgraph([a, b, c])
+        assert first is not second and view not in (first, second)
+        failed = fail_instances(overlay, [d])
+        assert fail_instances(overlay, [d]) is not failed
+        assert failed is not view and failed is not overlay
+
+    def test_one_subgraph_per_distinct_ball_in_a_gray_cell(self, monkeypatch):
+        """Every ``ego_view`` call of a gray-failure cell builds at most
+        one view per (overlay, reached set); the rest are memo hits."""
+        real_ego_view = OverlayGraph.ego_view
+        real_subgraph = OverlayGraph.subgraph
+        inside = [False]
+        calls = [0]
+        builds = [0]
+        balls = set()
+        overlays = []  # keeps every overlay alive so ids stay unique
+
+        def counting_ego_view(self, root, hops, *, direction="both"):
+            inside[0] = True
+            try:
+                view = real_ego_view(self, root, hops, direction=direction)
+            finally:
+                inside[0] = False
+            calls[0] += 1
+            overlays.append(self)
+            balls.add((id(self), frozenset(view.instances())))
+            return view
+
+        def counting_subgraph(self, keep):
+            if inside[0]:
+                builds[0] += 1
+            return real_subgraph(self, keep)
+
+        monkeypatch.setattr(OverlayGraph, "ego_view", counting_ego_view)
+        monkeypatch.setattr(OverlayGraph, "subgraph", counting_subgraph)
+        GrayFailureExperiment(GrayFailureConfig(
+            network_sizes=(20,), trials=1, seed=0, workers=0,
+        )).run()
+        assert builds[0] == len(balls)
+        assert calls[0] > builds[0] > 0
 
 
 class TestSubgraphAndMerge:
