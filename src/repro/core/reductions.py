@@ -415,12 +415,14 @@ class ReductionSolver:
             shortest-widest-best entries (the paper's heuristic).
         enumeration_limit: cap on the number of assignments a
             :class:`GeneralBlock` may enumerate before falling back to the
-            greedy widest-first completion.
+            greedy widest-first completion (at least 1).
     """
 
     name = "reduction"
 
     def __init__(self, *, pareto: bool = True, enumeration_limit: int = 200_000):
+        if enumeration_limit < 1:
+            raise ValueError("enumeration_limit must be >= 1")
         self.pareto = pareto
         self.enumeration_limit = enumeration_limit
 

@@ -66,9 +66,10 @@ convergence time and message counts are measured, not modelled.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import FederationError, SimulationError
 from repro.network.failures import ChaosPlan
@@ -80,7 +81,7 @@ from repro.network.metrics import PathQuality, UNREACHABLE
 from repro.network.overlay import OverlayGraph, ServiceInstance
 from repro.routing.link_state import collect_local_views
 from repro.routing.oracle import RouteOracle
-from repro.services.abstract_graph import AbstractGraph
+from repro.routing.wang_crowcroft import RouteLabel
 from repro.services.flowgraph import FlowEdge, ServiceFlowGraph
 from repro.services.requirement import ServiceRequirement, Sid
 from repro.core.degradation import DegradationRecord, SessionState
@@ -309,8 +310,24 @@ class SFlowConfig:
     sample_interval: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name in (
+            "initial_latency",
+            "retransmit_timeout",
+            "failover_backoff",
+            "deadline",
+            "refederate_hysteresis",
+            "required_bandwidth",
+            "sample_interval",
+        ):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
+        if self.enumeration_limit < 1:
+            raise ValueError("enumeration_limit must be >= 1")
+        if self.initial_latency < 0:
+            raise ValueError("initial_latency must be >= 0")
         if not (0.0 <= self.loss_rate < 1.0):
             raise ValueError("loss_rate must be in [0, 1)")
         if self.retransmit_timeout <= 0:
@@ -414,11 +431,14 @@ class _PlanningView(AbstractView):
         local_view: OverlayGraph,
         directory: Dict[Sid, Tuple[ServiceInstance, ...]],
         pins: Dict[Sid, ServiceInstance],
-        hints: Optional[Dict[ServiceInstance, PathQuality]] = None,
+        hints: Optional[Mapping[ServiceInstance, PathQuality]] = None,
         excluded: FrozenSet[ServiceInstance] = frozenset(),
     ) -> None:
         self._local = local_view
         self._hints = hints or {}
+        #: Routing trees fetched so far, per source: one oracle lookup per
+        #: source however many of its pairs get priced.
+        self._trees: Dict[ServiceInstance, Dict[ServiceInstance, RouteLabel]] = {}
         self._pools: Dict[Sid, Tuple[ServiceInstance, ...]] = {}
         for sid in residual.services():
             pinned = pins.get(sid)
@@ -438,23 +458,7 @@ class _PlanningView(AbstractView):
                     for inst in directory.get(sid, ())
                     if inst not in excluded
                 )
-        self._prior = self._estimate_prior(local_view)
-
-    @staticmethod
-    def _estimate_prior(view: OverlayGraph) -> PathQuality:
-        bandwidths: List[float] = []
-        latencies: List[float] = []
-        for inst in view.instances():
-            for _, metrics in view.successors(inst):
-                if metrics.reachable and metrics.bandwidth != float("inf"):
-                    bandwidths.append(metrics.bandwidth)
-                    latencies.append(metrics.latency)
-        if not bandwidths:
-            return PathQuality(1.0, 1.0)
-        return PathQuality(
-            sum(bandwidths) / len(bandwidths),
-            sum(latencies) / len(latencies),
-        )
+        self._prior = local_view.mean_link_quality()
 
     def instances_of(self, sid: Sid) -> Tuple[ServiceInstance, ...]:
         return self._pools.get(sid, ())
@@ -464,7 +468,12 @@ class _PlanningView(AbstractView):
             # Local views are memoized on the overlay and shared by every
             # activation and federation over it, so the process oracle
             # turns the repeated per-node tree computations into hits.
-            label = RouteOracle.default().tree(self._local, src).get(dst)
+            labels = self._trees.get(src)
+            if labels is None:
+                labels = self._trees[src] = RouteOracle.default().tree(
+                    self._local, src
+                )
+            label = labels.get(dst)
             if label is not None and label.quality.reachable:
                 return label.quality
             return UNREACHABLE
@@ -725,7 +734,7 @@ class _Federation:
         self.retransmissions = 0
         self.acks_sent = 0
         self.idom = requirement.immediate_dominators()
-        _t0 = self.stopwatch.read()
+        started = self.stopwatch.read()
         self.directory: Dict[Sid, Tuple[ServiceInstance, ...]] = {
             sid: overlay.instances_of(sid) for sid in requirement.services()
         }
@@ -734,14 +743,14 @@ class _Federation:
                 raise FederationError(
                     f"required service {sid!r} has no instance in the overlay"
                 )
-        _t1 = self.stopwatch.read()
-        # Ground-truth abstract graph used only to realise committed edges
-        # (established routing state), never for decision making.
-        self.abstract = AbstractGraph.build(requirement, overlay)
-        _t2 = self.stopwatch.read()
-        self.fallback_latency = self._mean_latency()
-        self.hints: Dict[ServiceInstance, PathQuality] = (
-            self._gossip_hints() if config.gossip_hints else {}
+        self.fallback_latency = overlay.mean_link_latency()
+        #: Gossip hints: the per-instance scalar summary (mean incident link
+        #: quality) each instance publishes with its directory entry --
+        #: constant-size state a directory or gossip layer can carry --
+        #: which planners use to price edges beyond their horizon.  Shared
+        #: by every federation over the overlay: read-only.
+        self.hints: Mapping[ServiceInstance, PathQuality] = (
+            overlay.mean_incident_quality() if config.gossip_hints else {}
         )
         self.link_state_messages = 0
         self._views: Dict[ServiceInstance, OverlayGraph] = {}
@@ -749,13 +758,9 @@ class _Federation:
             report = collect_local_views(overlay, config.horizon)
             self._views = report.views
             self.link_state_messages = report.messages
-        _t3 = self.stopwatch.read()
-        #: Wall-clock setup cost, reported as zero-length sim-time spans by
+        #: Wall-clock setup cost, reported as a zero-length sim-time span by
         #: :meth:`run` -- setup happens before the DES clock starts ticking.
-        self._setup_seconds = {
-            "discovery": (_t1 - _t0) + (_t3 - _t2),
-            "abstract_graph": _t2 - _t1,
-        }
+        self._discovery_seconds = self.stopwatch.read() - started
         #: Root span of the session; a real span only while a trace sink is
         #: attached, otherwise the free no-op singleton.
         self._span = NULL_SPAN
@@ -796,41 +801,6 @@ class _Federation:
         if self._chaos_rng is not None:
             lost |= self._chaos_rng.random() < self.chaos.loss_rate
         return lost
-
-    def _mean_latency(self) -> float:
-        latencies = [
-            metrics.latency
-            for inst in self.overlay.instances()
-            for _, metrics in self.overlay.successors(inst)
-            if metrics.reachable
-        ]
-        return sum(latencies) / len(latencies) if latencies else 1.0
-
-    def _gossip_hints(self) -> Dict[ServiceInstance, PathQuality]:
-        """Per-instance scalar summaries: mean incident link quality.
-
-        Each instance publishes one ``(bandwidth, latency)`` aggregate over
-        its incident service links -- constant-size state a directory or
-        gossip layer can carry -- which planners use to price edges to
-        instances beyond their horizon."""
-        hints: Dict[ServiceInstance, PathQuality] = {}
-        for inst in self.overlay.instances():
-            bandwidths: List[float] = []
-            latencies: List[float] = []
-            for _, metrics in self.overlay.successors(inst):
-                if metrics.reachable and metrics.bandwidth != float("inf"):
-                    bandwidths.append(metrics.bandwidth)
-                    latencies.append(metrics.latency)
-            for _, metrics in self.overlay.predecessors(inst):
-                if metrics.reachable and metrics.bandwidth != float("inf"):
-                    bandwidths.append(metrics.bandwidth)
-                    latencies.append(metrics.latency)
-            if bandwidths:
-                hints[inst] = PathQuality(
-                    sum(bandwidths) / len(bandwidths),
-                    sum(latencies) / len(latencies),
-                )
-        return hints
 
     # -- recovery bookkeeping ----------------------------------------------------
 
@@ -1278,10 +1248,17 @@ class _Federation:
     def realize_edge(
         self, src: ServiceInstance, dst: ServiceInstance
     ) -> FlowEdge:
-        abstract_edge = self.abstract.edge(src, dst)
-        if abstract_edge is None:
+        """The committed edge ``src -> dst`` over its shortest-widest route
+        in the full overlay: established routing state, realised only for
+        the edges the protocol commits and never used for decisions."""
+        label = (
+            RouteOracle.default().tree(self.overlay, src).get(dst)
+            if src != dst
+            else None
+        )
+        if label is None or not label.quality.reachable:
             return FlowEdge(src, dst, UNREACHABLE, ())
-        return FlowEdge(src, dst, abstract_edge.quality, abstract_edge.overlay_path)
+        return FlowEdge(src, dst, label.quality, label.path)
 
     def record_compute(self, instance: ServiceInstance, seconds: float) -> None:
         self.local_compute_seconds += seconds
@@ -1501,12 +1478,9 @@ class _Federation:
         # activations back through each hop (repro.obs.causal).
         self.network.set_trace_span(self._span)
         # Setup happened before the DES clock started ticking: report the
-        # discovery and abstract-graph phases as zero-length sim-time spans
-        # carrying their wall-clock cost.
-        for phase in ("discovery", "abstract_graph"):
-            self._span.child(phase).end(
-                wall_seconds=self._setup_seconds[phase]
-            )
+        # discovery phase as a zero-length sim-time span carrying its
+        # wall-clock cost.
+        self._span.child("discovery").end(wall_seconds=self._discovery_seconds)
         sampler: Optional[SeriesSampler] = None
         if self.config.sample_interval is not None:
             sampler = SeriesSampler(

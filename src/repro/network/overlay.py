@@ -22,6 +22,7 @@ shortest-widest quality of that underlay path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import (
     Callable,
     Dict,
@@ -29,6 +30,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -77,6 +79,22 @@ class ServiceLink:
             raise ValueError(f"self-loop service link at {self.src}")
 
 
+def _mean_finite_quality(links: Iterable[LinkMetrics]) -> Optional[PathQuality]:
+    """Mean ``(bandwidth, latency)`` over the reachable finite-bandwidth
+    ``links`` (summed in iteration order); ``None`` when there is none."""
+    finite = [
+        metrics
+        for metrics in links
+        if metrics.reachable and metrics.bandwidth != float("inf")
+    ]
+    if not finite:
+        return None
+    return PathQuality(
+        sum(metrics.bandwidth for metrics in finite) / len(finite),
+        sum(metrics.latency for metrics in finite) / len(finite),
+    )
+
+
 class OverlayGraph:
     """A directed weighted graph over :class:`ServiceInstance` nodes."""
 
@@ -84,16 +102,26 @@ class OverlayGraph:
         self._out: Dict[ServiceInstance, Dict[ServiceInstance, ServiceLink]] = {}
         self._in: Dict[ServiceInstance, Dict[ServiceInstance, ServiceLink]] = {}
         self._by_sid: Dict[Sid, List[ServiceInstance]] = {}
-        #: Ego views built so far, keyed by reached set; any mutation of
-        #: this overlay clears it.
+        #: Ego views built so far, keyed by reached set, and the link
+        #: summaries computed so far; any mutation of this overlay clears
+        #: them all.
         self._ego_views: Dict[FrozenSet[ServiceInstance], "OverlayGraph"] = {}
+        self._link_quality: Optional[PathQuality] = None
+        self._link_latency: Optional[float] = None
+        self._incident_quality: Optional[Mapping[ServiceInstance, PathQuality]] = None
+
+    def _forget_derived(self) -> None:
+        self._ego_views.clear()
+        self._link_quality = None
+        self._link_latency = None
+        self._incident_quality = None
 
     # -- construction ------------------------------------------------------
 
     def add_instance(self, instance: ServiceInstance) -> ServiceInstance:
         """Register a service instance; idempotent."""
         if instance not in self._out:
-            self._ego_views.clear()
+            self._forget_derived()
             self._out[instance] = {}
             self._in[instance] = {}
             self._by_sid.setdefault(instance.sid, []).append(instance)
@@ -113,7 +141,7 @@ class OverlayGraph:
         if dst in self._out[src]:
             raise ValueError(f"service link {src} -> {dst} already exists")
         link = ServiceLink(src, dst, metrics, tuple(underlay_path))
-        self._ego_views.clear()
+        self._forget_derived()
         self._out[src][dst] = link
         self._in[dst][src] = link
         return link
@@ -263,6 +291,58 @@ class OverlayGraph:
         if instance not in self._out:
             return ()
         return tuple(link for _, link in sorted(self._out[instance].items()))
+
+    # -- link summaries -----------------------------------------------------
+    #
+    # Aggregates over this overlay's links, memoized until the next
+    # mutation: every federation and planning view over one overlay reads
+    # the same values instead of recomputing them.  Only reachable links
+    # count; the quality means also skip co-located links (infinite
+    # bandwidth), which would swamp any mean.
+
+    def mean_link_quality(self) -> PathQuality:
+        """Mean ``(bandwidth, latency)`` over the finite-bandwidth links;
+        ``PathQuality(1.0, 1.0)`` when there is none."""
+        if self._link_quality is None:
+            mean = _mean_finite_quality(
+                metrics for inst in self.instances() for _, metrics in self.successors(inst)
+            )
+            self._link_quality = mean if mean is not None else PathQuality(1.0, 1.0)
+        return self._link_quality
+
+    def mean_link_latency(self) -> float:
+        """Mean latency over every reachable link; 1.0 when there is none."""
+        if self._link_latency is None:
+            latencies = [
+                metrics.latency
+                for inst in self.instances()
+                for _, metrics in self.successors(inst)
+                if metrics.reachable
+            ]
+            self._link_latency = (
+                sum(latencies) / len(latencies) if latencies else 1.0
+            )
+        return self._link_latency
+
+    def mean_incident_quality(self) -> Mapping[ServiceInstance, PathQuality]:
+        """Per instance, the mean ``(bandwidth, latency)`` over its
+        finite-bandwidth incident links (outgoing, then incoming).
+
+        Instances without such a link are absent.  The mapping is shared by
+        every caller until this overlay is next mutated, so it is read-only.
+        """
+        if self._incident_quality is None:
+            found: Dict[ServiceInstance, PathQuality] = {}
+            for inst in self.instances():
+                mean = _mean_finite_quality(
+                    metrics
+                    for links in (self.successors(inst), self.predecessors(inst))
+                    for _, metrics in links
+                )
+                if mean is not None:
+                    found[inst] = mean
+            self._incident_quality = MappingProxyType(found)
+        return self._incident_quality
 
     # -- local knowledge ----------------------------------------------------
 

@@ -3,7 +3,7 @@
 The flight recorder captures two independent causal structures:
 
 * the **span tree** -- ``(trace, span, parent)`` ids on every span record
-  (session, discovery, abstract_graph, negotiate, ...);
+  (session, discovery, negotiate, ...);
 * **message causality** -- ``channel.send`` / ``channel.deliver`` events
   stamped with a per-network ``msg_id`` (:mod:`repro.sim.channels`), and
   ``node.activate`` events carrying ``cause``: the msg_id whose delivery

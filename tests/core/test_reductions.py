@@ -238,6 +238,11 @@ class TestSolver:
         )
         assert not heuristic.quality().is_better_than(pareto.quality())
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_enumeration_limit_below_one_rejected(self, limit):
+        with pytest.raises(ValueError, match="enumeration_limit"):
+            ReductionSolver(enumeration_limit=limit)
+
     def test_enumeration_limit_falls_back_to_greedy(self, travel_scenario):
         solver = ReductionSolver(enumeration_limit=1)
         graph = solver.solve(

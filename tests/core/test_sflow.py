@@ -35,6 +35,29 @@ class TestConfig:
         assert config.horizon == 2
         assert config.pareto
 
+    @pytest.mark.parametrize("field", [
+        "initial_latency",
+        "retransmit_timeout",
+        "failover_backoff",
+        "deadline",
+        "refederate_hysteresis",
+        "required_bandwidth",
+        "sample_interval",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SFlowConfig(**{field: value})
+
+    @pytest.mark.parametrize("kwargs", [
+        {"initial_latency": -5.0},
+        {"enumeration_limit": 0},
+        {"enumeration_limit": -1},
+    ])
+    def test_out_of_range_values_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            SFlowConfig(**kwargs)
+
 
 class TestProtocol:
     def test_produces_complete_valid_graph(self, travel_scenario):

@@ -4,12 +4,14 @@ import math
 
 import pytest
 
+from repro.core.sflow import SFlowAlgorithm, _Federation
 from repro.eval.robustness import GrayFailureConfig, GrayFailureExperiment
-from repro.network.failures import fail_instances
+from repro.network.failures import degrade_links, fail_instances
 from repro.network.metrics import UNREACHABLE, PathQuality
 from repro.network.overlay import OverlayGraph, ServiceInstance, ServiceLink
 from repro.network.underlay import Underlay
 from repro.services.catalog import ServiceCatalog
+from repro.services.workloads import ScenarioConfig, generate_scenario
 
 
 class TestServiceInstance:
@@ -289,6 +291,114 @@ class TestEgoView:
         )).run()
         assert builds[0] == len(balls)
         assert calls[0] > builds[0] > 0
+
+
+class TestLinkSummaries:
+    @pytest.fixture
+    def overlay(self):
+        """a/0 -> b/1 -> c/2, a co-located a/0 -> b/0 link, isolated d/3."""
+        overlay = OverlayGraph()
+        a0, b0, b1, c2 = (
+            ServiceInstance("a", 0), ServiceInstance("b", 0),
+            ServiceInstance("b", 1), ServiceInstance("c", 2),
+        )
+        overlay.add_link(a0, b1, PathQuality(6, 2))
+        overlay.add_link(b1, c2, PathQuality(4, 4))
+        overlay.add_link(a0, b0, PathQuality(math.inf, 0))
+        overlay.add_instance(ServiceInstance("d", 3))
+        return overlay
+
+    def test_values(self, overlay):
+        a0, b1, c2 = ServiceInstance("a", 0), ServiceInstance("b", 1), ServiceInstance("c", 2)
+        assert overlay.mean_link_quality() == PathQuality(5, 3)
+        assert overlay.mean_link_latency() == 2.0
+        assert dict(overlay.mean_incident_quality()) == {
+            a0: PathQuality(6, 2), b1: PathQuality(5, 3), c2: PathQuality(4, 4),
+        }
+        empty = OverlayGraph()
+        assert empty.mean_link_quality() == PathQuality(1.0, 1.0)
+        assert empty.mean_link_latency() == 1.0
+        assert dict(empty.mean_incident_quality()) == {}
+
+    @staticmethod
+    def _summaries(overlay):
+        return (
+            overlay.mean_link_quality(),
+            overlay.mean_link_latency(),
+            dict(overlay.mean_incident_quality()),
+        )
+
+    def test_memoized_values_equal_a_fresh_computation(self):
+        scenario = generate_scenario(ScenarioConfig(network_size=20, seed=4))
+        overlay = scenario.overlay
+        first = self._summaries(overlay)
+        assert overlay.mean_incident_quality() is overlay.mean_incident_quality()
+        assert overlay.mean_link_quality() is overlay.mean_link_quality()
+        fresh = overlay.subgraph(list(overlay.instances()))
+        assert self._summaries(overlay) == first == self._summaries(fresh)
+        view = overlay.ego_view(scenario.source_instance, 2)
+        assert view.mean_link_quality() is view.mean_link_quality()
+        assert view.mean_link_quality() == overlay.subgraph(
+            list(view.instances())
+        ).mean_link_quality()
+
+    def test_hints_mapping_is_read_only(self, overlay):
+        with pytest.raises(TypeError):
+            overlay.mean_incident_quality()[ServiceInstance("d", 3)] = PathQuality(1, 1)
+
+    def test_shared_across_federations(self, monkeypatch):
+        scenario = generate_scenario(ScenarioConfig(network_size=12, seed=0))
+        seen = []
+        real_run = _Federation.run
+
+        def run(self):
+            seen.append((self.hints, self.fallback_latency))
+            return real_run(self)
+
+        monkeypatch.setattr(_Federation, "run", run)
+        for _ in range(2):
+            SFlowAlgorithm().federate(
+                scenario.requirement,
+                scenario.overlay,
+                source_instance=scenario.source_instance,
+            )
+        (hints, latency), (hints_again, latency_again) = seen
+        assert hints is hints_again is scenario.overlay.mean_incident_quality()
+        assert latency == latency_again == scenario.overlay.mean_link_latency()
+
+    def test_add_instance_clears_summaries(self, overlay):
+        hints = overlay.mean_incident_quality()
+        overlay.add_instance(ServiceInstance("a", 0))  # already present
+        assert overlay.mean_incident_quality() is hints
+        overlay.add_instance(ServiceInstance("e", 4))
+        assert overlay.mean_incident_quality() is not hints
+        assert overlay.mean_incident_quality() == hints
+
+    def test_add_link_clears_summaries(self, overlay):
+        before = self._summaries(overlay)
+        overlay.add_link(ServiceInstance("c", 2), ServiceInstance("d", 3), PathQuality(2, 9))
+        assert overlay.mean_link_quality() == PathQuality(4, 5)
+        assert overlay.mean_link_latency() == 3.75
+        assert overlay.mean_incident_quality()[ServiceInstance("d", 3)] == PathQuality(2, 9)
+        assert self._summaries(overlay) != before
+
+    def test_never_shared_with_derived_copies(self, overlay):
+        hints = overlay.mean_incident_quality()
+        copy = overlay.subgraph(list(overlay.instances()))
+        assert copy.mean_incident_quality() is not hints
+        assert copy.mean_incident_quality() == hints
+        view = overlay.ego_view(ServiceInstance("b", 1), 1)
+        assert view.mean_incident_quality() is not hints
+        failed = fail_instances(overlay, [ServiceInstance("c", 2)])
+        assert failed.mean_incident_quality() is not hints
+        assert failed.mean_link_quality() == PathQuality(6, 2)
+        assert overlay.mean_link_quality() == PathQuality(5, 3)
+        degraded = degrade_links(
+            overlay, [(ServiceInstance("a", 0), ServiceInstance("b", 1))],
+            bandwidth_factor=0.5,
+        )
+        assert degraded.mean_link_quality() == PathQuality(3.5, 3)
+        assert overlay.mean_incident_quality() is hints
 
 
 class TestSubgraphAndMerge:
